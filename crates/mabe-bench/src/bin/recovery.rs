@@ -35,7 +35,10 @@ struct Row {
 /// record type including re-keys and proxy re-encryption.
 fn build(ops: usize, seed: u64) -> DurableSystem<SimDisk> {
     let (ds, _) = DurableSystem::open(SimDisk::unfaulted(), seed).expect("fresh open never fails");
+    // Both automatic checkpoint triggers off: the op cadence and the
+    // live-log byte budget (which the 128-op row would otherwise cross).
     ds.set_checkpoint_interval(usize::MAX);
+    ds.set_wal_budget(usize::MAX);
     ds.add_authority("MedOrg", &["Doctor", "Nurse"])
         .expect("setup");
     let owner = ds.add_owner("hospital").expect("setup");

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rand::RngCore;
 
-use mabe_math::{pairing, Fr, G1Affine, Gt, G1};
+use mabe_math::{Fr, G1Affine, Gt, PairingProduct, G1};
 use mabe_policy::{AccessStructure, AuthorityId};
 
 use crate::error::Error;
@@ -223,40 +223,42 @@ pub fn decrypt_unchecked(
         .ok_or(Error::PolicyNotSatisfied)?;
 
     // Numerator: Π_k e(C', K_{UID,AID_k}) over ALL involved authorities.
-    let mut numerator = Gt::one();
+    let mut product = PairingProduct::new();
     for aid in &involved {
         let key = keys
             .get(aid)
             .ok_or_else(|| Error::MissingAuthorityKey(aid.clone()))?;
-        numerator = numerator.mul(&pairing(&ct.c_prime, &key.k));
+        product.pair(&ct.c_prime, &key.k);
     }
 
-    // Denominator: Π_i (e(C_i, PK_UID) · e(C', K_{ρ(i)}))^{w_i · n_A}.
-    let mut denominator = Gt::one();
+    // Denominator: Π_i (e(C_i, PK_UID) · e(C', K_{ρ(i)}))^{w_i · n_A},
+    // divided out as one group per row raised to -w_i · n_A.
     for (row, w) in &coefficients {
         let attr = &ct.access.rho()[*row];
         let key = keys
             .get(attr.authority())
             .ok_or_else(|| Error::MissingAuthorityKey(attr.authority().clone()))?;
         let kx = key.kx.get(attr).ok_or(Error::PolicyNotSatisfied)?;
-        let term = pairing(&ct.c_i[*row], &user_pk.pk).mul(&pairing(&ct.c_prime, kx));
-        denominator = denominator.mul(&term.pow(&w.mul(&n_a)));
+        product
+            .group(w.mul(&n_a).neg())
+            .pair(&ct.c_i[*row], &user_pk.pk)
+            .pair(&ct.c_prime, kx);
     }
 
     // num / den = Π_k e(g,g)^{α_k s};   m = C / (num / den).
-    let blinding = numerator.div(&denominator);
-    Ok(ct.c.div(&blinding))
+    Ok(ct.c.div(&product.eval()))
 }
 
-/// Optimized decryption: identical output to [`decrypt`], but all
-/// `n_A + 2·|I|` pairings share a single final exponentiation
-/// ([`mabe_math::multi_pairing`]) and the recombination exponents
-/// `w_i · n_A` are folded into `G` scalar multiplications instead of
-/// `G_T` exponentiations.
+/// Alternative decryption: identical output to [`decrypt`], with the
+/// recombination exponents `w_i · n_A` folded into `2·|I|` scalar
+/// multiplications in `G` (no `G_T` exponentiations) before one
+/// [`mabe_math::multi_pairing`].
 ///
-/// Kept separate from [`decrypt`] so the paper's Figure 3/4 cost model
-/// stays reproducible with the faithful path; the `schemes` Criterion
-/// bench quantifies the gap as an ablation.
+/// [`decrypt`] also shares Miller lines and a single final
+/// exponentiation ([`mabe_math::PairingProduct`]) and applies the
+/// exponents to Miller-loop values, which costs less than this
+/// variant's scalar multiplications; this path is kept as the ablation
+/// the `schemes` Criterion bench measures, with its own op counts.
 ///
 /// # Errors
 ///

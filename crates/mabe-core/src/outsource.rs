@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rand::RngCore;
 
-use mabe_math::{pairing, Fr, G1Affine, Gt, G1};
+use mabe_math::{Fr, G1Affine, Gt, PairingProduct, G1};
 use mabe_policy::AuthorityId;
 
 use crate::ciphertext::Ciphertext;
@@ -170,12 +170,11 @@ pub fn server_transform(ct: &Ciphertext, tk: &TransformKey) -> Result<TransformT
         .reconstruction_coefficients(&attrs)
         .ok_or(Error::PolicyNotSatisfied)?;
 
-    let mut numerator = Gt::one();
+    // The same pairing product as `decrypt_unchecked`, on blinded keys.
+    let mut product = PairingProduct::new();
     for aid in &involved {
-        let entry = &tk.entries[aid];
-        numerator = numerator.mul(&pairing(&ct.c_prime, &entry.k));
+        product.pair(&ct.c_prime, &tk.entries[aid].k);
     }
-    let mut denominator = Gt::one();
     for (row, w) in &coefficients {
         let attr = &ct.access.rho()[*row];
         let entry = tk
@@ -183,10 +182,12 @@ pub fn server_transform(ct: &Ciphertext, tk: &TransformKey) -> Result<TransformT
             .get(attr.authority())
             .ok_or_else(|| Error::MissingAuthorityKey(attr.authority().clone()))?;
         let kx = entry.kx.get(attr).ok_or(Error::PolicyNotSatisfied)?;
-        let term = pairing(&ct.c_i[*row], &tk.blinded_pk).mul(&pairing(&ct.c_prime, kx));
-        denominator = denominator.mul(&term.pow(&w.mul(&n_a)));
+        product
+            .group(w.mul(&n_a).neg())
+            .pair(&ct.c_i[*row], &tk.blinded_pk)
+            .pair(&ct.c_prime, kx);
     }
-    Ok(TransformToken(numerator.div(&denominator)))
+    Ok(TransformToken(product.eval()))
 }
 
 /// Client side: unblinds the token and strips the mask — one `G_T`

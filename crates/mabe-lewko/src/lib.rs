@@ -50,12 +50,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::{Mutex, OnceLock};
 
 use rand::RngCore;
 
-use mabe_math::{hash_to_curve, pairing, Fr, G1Affine, Gt, G1};
+use mabe_math::{hash_to_curve, Fr, G1Affine, Gt, PairingProduct, G1};
 use mabe_policy::{AccessStructure, Attribute, AuthorityId};
 
 /// Size in bytes of a compressed `G` element.
@@ -94,8 +95,28 @@ impl fmt::Display for LewkoError {
 impl std::error::Error for LewkoError {}
 
 /// The random oracle `H : GID → G`.
+///
+/// `H(GID)` is a per-user constant that every key generation and every
+/// decryption needs, and hashing onto the curve costs about as much as
+/// a pairing, so results are memoized (up to 1024 GIDs; the memo is
+/// cleared when full).
 pub fn hash_gid(gid: &str) -> G1Affine {
-    hash_to_curve(format!("lewko-gid:{gid}").as_bytes())
+    const GID_MEMO_CAPACITY: usize = 1024;
+    static MEMO: OnceLock<Mutex<HashMap<String, G1Affine>>> = OnceLock::new();
+    let memo = MEMO.get_or_init(Default::default);
+    // Every entry is a pure function of its key, so a memo poisoned by
+    // a panicking holder is still valid.
+    let lock = || memo.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    if let Some(h) = lock().get(gid) {
+        return *h;
+    }
+    let h = hash_to_curve(format!("lewko-gid:{gid}").as_bytes());
+    let mut memo = lock();
+    if memo.len() >= GID_MEMO_CAPACITY {
+        memo.clear();
+    }
+    memo.insert(gid.to_owned(), h);
+    h
 }
 
 /// Per-attribute authority secrets `(α_x, y_x)`.
@@ -368,26 +389,33 @@ pub fn decrypt_unchecked(
         .ok_or(LewkoError::PolicyNotSatisfied)?;
     let h_gid = hash_gid(gid);
 
-    let mut blinding = Gt::one();
+    // Π_i (C₁ᵢ · e(H(GID), C₃ᵢ) / e(Kᵢ, C₂ᵢ))^{cᵢ} as one pairing
+    // product: H(GID) is the shared Miller point, and the division is
+    // e(-Kᵢ, C₂ᵢ).
+    let mut product = PairingProduct::new();
     for (row, c) in &coefficients {
         let attr = &ct.access.rho()[*row];
         let key = keys.get(attr).ok_or(LewkoError::PolicyNotSatisfied)?;
         let parts = &ct.rows[*row];
-        // C₁ᵢ · e(H(GID), C₃ᵢ) / e(Kᵢ, C₂ᵢ)
-        let term = parts
-            .c1
-            .mul(&pairing(&h_gid, &parts.c3))
-            .div(&pairing(&key.k, &parts.c2));
-        blinding = blinding.mul(&term.pow(c));
+        product
+            .group(*c)
+            .factor(&parts.c1)
+            .pair(&h_gid, &parts.c3)
+            .pair(&key.k.neg(), &parts.c2);
     }
-    Ok(ct.c0.div(&blinding))
+    Ok(ct.c0.div(&product.eval()))
 }
 
-/// Optimized decryption: identical output to [`decrypt`], with the
-/// recombination exponents folded into `G` scalar multiplications and
-/// all pairings sharing one final exponentiation
-/// ([`mabe_math::multi_pairing`]). The `Π C₁ᵢ^{cᵢ}` factor necessarily
+/// Alternative decryption: identical output to [`decrypt`], with the
+/// recombination exponents folded into `G` scalar multiplications before
+/// one [`mabe_math::multi_pairing`]. The `Π C₁ᵢ^{cᵢ}` factor necessarily
 /// stays in `G_T`.
+///
+/// [`decrypt`] also shares one final exponentiation
+/// ([`mabe_math::PairingProduct`]) and applies the exponents to
+/// Miller-loop values, which costs less than this variant's scalar
+/// multiplications; this path is kept as the ablation the benches
+/// measure.
 ///
 /// # Errors
 ///
@@ -631,5 +659,13 @@ mod tests {
     fn hash_gid_deterministic_and_distinct() {
         assert_eq!(hash_gid("alice"), hash_gid("alice"));
         assert_ne!(hash_gid("alice"), hash_gid("bob"));
+    }
+
+    #[test]
+    fn hash_gid_memo_returns_the_oracle_value() {
+        let fresh = |gid: &str| hash_to_curve(format!("lewko-gid:{gid}").as_bytes());
+        // First call fills the memo, second is served from it.
+        assert_eq!(hash_gid("carol"), fresh("carol"));
+        assert_eq!(hash_gid("carol"), fresh("carol"));
     }
 }

@@ -247,19 +247,28 @@ impl G1 {
         if self.is_identity() || self.y.is_zero() {
             return Self::identity();
         }
+        self.double_with_slope().0
+    }
+
+    /// Doubling of a point with `Y ≠ 0`, also returning `[M, Y², Z²]`
+    /// where `M = 3X² + Z⁴` is the tangent's slope numerator: the Miller
+    /// loop builds its tangent line from them.
+    pub(crate) fn double_with_slope(&self) -> (Self, [Fq; 3]) {
         let y2 = self.y.square();
         let s = self.x.mul(&y2).double().double(); // 4XY²
         let z2 = self.z.square();
-        let m = self.x.square().mul(&Fq::from_u64(3)).add(&z2.square()); // 3X² + Z⁴
+        let xx = self.x.square();
+        let m = xx.double().add(&xx).add(&z2.square()); // 3X² + Z⁴
         let x3 = m.square().sub(&s.double());
         let y4_8 = y2.square().double().double().double(); // 8Y⁴
         let y3 = m.mul(&s.sub(&x3)).sub(&y4_8);
         let z3 = self.y.mul(&self.z).double();
-        G1 {
+        let doubled = G1 {
             x: x3,
             y: y3,
             z: z3,
-        }
+        };
+        (doubled, [m, y2, z2])
     }
 
     /// General point addition.
@@ -348,7 +357,12 @@ impl G1 {
     /// optimization the paper's PBC library applies).
     pub fn mul_wnaf(&self, scalar: &Fr) -> Self {
         mabe_telemetry::record(mabe_telemetry::CryptoOp::G1Mul);
-        let digits = wnaf_digits(scalar.to_uint());
+        self.mul_signed_digits(&crate::uint::wnaf_digits(&scalar.to_uint().limbs, 4))
+    }
+
+    /// Multiplication by width-4 signed digits (least-significant first,
+    /// as [`crate::uint::wnaf_digits`] emits them with width 4).
+    fn mul_signed_digits(&self, digits: &[i8]) -> Self {
         if digits.is_empty() {
             return Self::identity();
         }
@@ -476,34 +490,6 @@ pub fn generator_mul(k: &Fr) -> G1 {
         .mul(k)
 }
 
-/// Width-4 signed windowed NAF digits (least-significant first), each in
-/// `{0, ±1, ±3, ±5, ±7}` with no two adjacent nonzero digits.
-fn wnaf_digits(mut x: crate::uint::Uint<3>) -> Vec<i8> {
-    const WINDOW: u64 = 16; // 2^4
-    let mut digits = Vec::with_capacity(168);
-    while !x.is_zero() {
-        if x.is_odd() {
-            let low = x.limbs[0] & (WINDOW - 1);
-            let d: i64 = if low >= WINDOW / 2 {
-                low as i64 - WINDOW as i64
-            } else {
-                low as i64
-            };
-            if d >= 0 {
-                x = x.sbb(crate::uint::Uint::from_u64(d as u64)).0;
-            } else {
-                // x + |d| cannot overflow 192 bits (x < 2^160).
-                x = x.adc(crate::uint::Uint::from_u64((-d) as u64)).0;
-            }
-            digits.push(d as i8);
-        } else {
-            digits.push(0);
-        }
-        x = x.shr1();
-    }
-    digits
-}
-
 /// Converts a batch of projective points to affine with a single field
 /// inversion (Montgomery's trick). Identity points map to the affine
 /// identity.
@@ -558,7 +544,7 @@ pub fn hash_to_curve(msg: &[u8]) -> G1Affine {
                 y = y.neg();
             }
             let p = G1 { x, y, z: Fq::one() };
-            let cleared = p.mul_by_limbs(&params::H.limbs);
+            let cleared = p.mul_signed_digits(params::h_wnaf());
             if !cleared.is_identity() {
                 return G1Affine::from(cleared);
             }
@@ -766,24 +752,6 @@ mod tests {
         // Negative digits: 2^k - small values exercise the signed path.
         let k = Fr::zero().sub(&Fr::from_u64(3)); // r - 3
         assert_eq!(p.mul_wnaf(&k), p.mul_binary(&k));
-    }
-
-    #[test]
-    fn wnaf_digit_structure() {
-        let digits = super::wnaf_digits(crate::uint::Uint::from_u64(0b10111));
-        // Reconstruct the value from the digits.
-        let mut value: i128 = 0;
-        for &d in digits.iter().rev() {
-            value = value * 2 + d as i128;
-        }
-        assert_eq!(value, 0b10111);
-        // No two adjacent nonzero digits; all digits odd or zero, |d| < 8.
-        for w in digits.windows(2) {
-            assert!(w[0] == 0 || w[1] == 0, "adjacent nonzero digits");
-        }
-        for &d in &digits {
-            assert!(d == 0 || (d % 2 != 0 && d.abs() < 8));
-        }
     }
 
     #[test]

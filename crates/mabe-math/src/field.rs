@@ -160,6 +160,39 @@ fn mont_square<const L: usize>(a: &Uint<L>, m: &Uint<L>, inv: u64) -> Uint<L> {
     mont_reduce_wide(&mut t[..2 * L], m, inv)
 }
 
+/// Inverse of `a` modulo the odd prime `m`, for `0 < a < m`, by the
+/// binary extended Euclidean algorithm. Invariants: `x1·a ≡ u` and
+/// `x2·a ≡ v (mod m)`; the loop ends when `u` or `v` reaches
+/// `gcd(a, m) = 1`.
+fn binary_inverse<const L: usize>(a: &Uint<L>, m: &Uint<L>) -> Uint<L> {
+    let one = Uint::<L>::one();
+    let (mut u, mut v) = (*a, *m);
+    let (mut x1, mut x2) = (one, Uint::<L>::ZERO);
+    while u != one && v != one {
+        while !u.is_odd() {
+            u = u.shr1();
+            x1 = x1.mod_half(m);
+        }
+        while !v.is_odd() {
+            v = v.shr1();
+            x2 = x2.mod_half(m);
+        }
+        // Both odd: the difference is even and the next pass halves it.
+        if u.lt(&v) {
+            v = v.sbb(u).0;
+            x2 = x2.mod_sub(x1, m);
+        } else {
+            u = u.sbb(v).0;
+            x1 = x1.mod_sub(x2, m);
+        }
+    }
+    if u == one {
+        x1
+    } else {
+        x2
+    }
+}
+
 /// An element of the prime field described by `P`, in Montgomery form.
 pub struct FieldElement<P: FieldParams<L>, const L: usize> {
     repr: Uint<L>,
@@ -318,10 +351,28 @@ impl<P: FieldParams<L>, const L: usize> FieldElement<P, L> {
         res
     }
 
-    /// Multiplicative inverse via Fermat's little theorem.
+    /// Multiplicative inverse by the variable-time binary extended
+    /// Euclidean algorithm (shifts and subtractions only).
     ///
     /// Returns `None` for zero.
     pub fn invert(&self) -> Option<Self> {
+        if self.is_zero() {
+            return None;
+        }
+        // repr = a·R, so the integer inverse is a⁻¹·R⁻¹; two Montgomery
+        // multiplications by R² lift it back to a⁻¹·R.
+        let inv = binary_inverse(&self.repr, &P::MODULUS);
+        let inv = mont_mul(&inv, &P::R2, &P::MODULUS, P::INV);
+        Some(FieldElement {
+            repr: mont_mul(&inv, &P::R2, &P::MODULUS, P::INV),
+            _params: PhantomData,
+        })
+    }
+
+    /// Multiplicative inverse via Fermat's little theorem,
+    /// `self^(m-2)`: the slow reference [`Self::invert`] is tested
+    /// against. Returns `None` for zero.
+    pub fn invert_fermat(&self) -> Option<Self> {
         if self.is_zero() {
             None
         } else {

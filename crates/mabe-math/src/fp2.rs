@@ -9,6 +9,7 @@
 use rand::RngCore;
 
 use crate::field::Fq;
+use crate::uint::wnaf_digits;
 
 /// An element `c0 + c1·i` of `F_{q²}`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -160,6 +161,26 @@ impl Fq2 {
         res
     }
 
+    /// Squaring of a unitary element (norm `c0² + c1² = 1`, as every
+    /// member of `G_T` and every output of the easy part of the final
+    /// exponentiation): `(2c0² − 1) + ((c0 + c1)² − 1)·i`, two base-field
+    /// squarings. Wrong for elements of any other norm.
+    pub fn unitary_square(&self) -> Self {
+        let one = Fq::one();
+        Fq2 {
+            c0: self.c0.square().double().sub(&one),
+            c1: self.c0.add(&self.c1).square().sub(&one),
+        }
+    }
+
+    /// Variable-time exponentiation of a unitary element by a
+    /// little-endian limb slice: unitary squarings and width-4 signed
+    /// digits, a negative digit multiplying by the conjugate (the
+    /// inverse of a unitary element).
+    pub fn unitary_pow_vartime(&self, exp: &[u64]) -> Self {
+        signed_multi_pow(&[(*self, &wnaf_digits(exp, 4))], Fq2::unitary_square)
+    }
+
     /// Uniformly random element.
     pub fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         Fq2 {
@@ -185,6 +206,52 @@ impl Fq2 {
             c1: Fq::from_canonical_bytes(&bytes[64..])?,
         })
     }
+}
+
+/// `Π base^digits` over one shared chain of squarings (Straus), each
+/// term's exponent given as signed digits (least-significant first, odd
+/// or zero, as [`wnaf_digits`] emits). A negative digit multiplies by the
+/// conjugate of the matching odd power.
+///
+/// The conjugate is the inverse for unitary elements; for any other
+/// element it is the inverse up to a factor the final exponentiation
+/// kills (`conj(f) = f^q` and `q ≡ −1 (mod r)`), which is how the pairing
+/// product applies exponents to Miller-loop values. `square` is
+/// [`Fq2::unitary_square`] for unitary bases and [`Fq2::square`]
+/// otherwise.
+pub(crate) fn signed_multi_pow(terms: &[(Fq2, &[i8])], square: fn(&Fq2) -> Fq2) -> Fq2 {
+    // tables[t][k] = base_t^(2k+1), up to the largest digit of the term.
+    let tables: Vec<Vec<Fq2>> = terms
+        .iter()
+        .map(|(base, digits)| {
+            let max = digits.iter().map(|d| d.unsigned_abs()).max().unwrap_or(0);
+            let mut table = vec![*base];
+            if max > 1 {
+                let base_sq = square(base);
+                for k in 1..=usize::from(max / 2) {
+                    table.push(table[k - 1].mul(&base_sq));
+                }
+            }
+            table
+        })
+        .collect();
+    let len = terms.iter().map(|(_, d)| d.len()).max().unwrap_or(0);
+    let mut acc: Option<Fq2> = None;
+    for i in (0..len).rev() {
+        if let Some(a) = acc.as_mut() {
+            *a = square(a);
+        }
+        for ((_, digits), table) in terms.iter().zip(&tables) {
+            let d = digits.get(i).copied().unwrap_or(0);
+            if d == 0 {
+                continue;
+            }
+            let entry = table[usize::from(d.unsigned_abs() / 2)];
+            let entry = if d < 0 { entry.conjugate() } else { entry };
+            acc = Some(acc.map_or(entry, |a| a.mul(&entry)));
+        }
+    }
+    acc.unwrap_or_else(Fq2::one)
 }
 
 impl core::ops::Add for Fq2 {
@@ -300,6 +367,43 @@ mod tests {
         // Frobenius is an automorphism: conj(ab) = conj(a)conj(b).
         let w = Fq2::random(&mut r);
         assert_eq!(z.mul(&w).conjugate(), z.conjugate().mul(&w.conjugate()));
+    }
+
+    /// A random unitary element: `conj(z)/z` has norm 1.
+    fn random_unitary(r: &mut StdRng) -> Fq2 {
+        let z = Fq2::random(r);
+        z.conjugate().mul(&z.invert().unwrap())
+    }
+
+    #[test]
+    fn unitary_pow_matches_generic_pow() {
+        let mut r = rng();
+        let u = random_unitary(&mut r);
+        for exp in [vec![0u64], vec![1], vec![2], vec![7], vec![u64::MAX, 3]] {
+            assert_eq!(u.unitary_pow_vartime(&exp), u.pow_vartime(&exp));
+        }
+        let h = crate::params::H.limbs;
+        assert_eq!(u.unitary_pow_vartime(&h), u.pow_vartime(&h));
+    }
+
+    #[test]
+    fn signed_multi_pow_matches_product_of_pows() {
+        let mut r = rng();
+        let (a, b) = (Fq2::random(&mut r), Fq2::random(&mut r));
+        let (ea, eb) = ([0x1234_5678_9abc_def1u64, 5], [77u64, 0]);
+        let joint = signed_multi_pow(
+            &[(a, &wnaf_digits(&ea, 4)), (b, &wnaf_digits(&eb, 4))],
+            Fq2::square,
+        );
+        // Non-unitary bases: negative digits multiply by conjugates, so
+        // the result agrees with the plain product only after the norm
+        // map to unitary elements (z ↦ conj(z)/z) that the final
+        // exponentiation's easy part applies.
+        let plain = a.pow_vartime(&ea).mul(&b.pow_vartime(&eb));
+        let easy = |z: Fq2| z.conjugate().mul(&z.invert().unwrap());
+        assert_eq!(easy(joint), easy(plain));
+        assert_eq!(signed_multi_pow(&[], Fq2::square), Fq2::one());
+        assert_eq!(signed_multi_pow(&[(a, &[])], Fq2::square), Fq2::one());
     }
 
     #[test]

@@ -54,4 +54,4 @@ pub mod uint;
 pub use curve::{batch_normalize, generator_mul, hash_to_curve, FixedBase, G1Affine, G1};
 pub use field::{Fq, Fr};
 pub use hash::hash_to_fr;
-pub use pairing::{multi_pairing, pairing, Gt};
+pub use pairing::{multi_pairing, pairing, Gt, PairingProduct};

@@ -16,63 +16,67 @@
 //!   costs only `F_q` multiplications.
 //! * Final exponentiation `(q² - 1)/r = (q - 1) · h`: the easy part is a
 //!   conjugate-divide (Frobenius on `F_{q²}` is conjugation), the hard
-//!   part a 353-bit exponentiation by the cofactor `h`.
+//!   part a 353-bit exponentiation by the cofactor `h`. The easy part's
+//!   output is unitary, so the hard part (like [`Gt::pow`]) uses
+//!   two-squaring unitary squarings and signed digits.
+//! * [`PairingProduct`] is the one Miller-loop driver: [`pairing`] and
+//!   [`multi_pairing`] are one-group products, and the scheme's
+//!   decryption is a product of `|I| + 1` groups sharing one final
+//!   exponentiation.
 
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use rand::RngCore;
 
 use crate::curve::{G1Affine, G1};
 use crate::field::{Fq, Fr};
-use crate::fp2::Fq2;
+use crate::fp2::{signed_multi_pow, Fq2};
 use crate::params;
+use crate::uint::wnaf_digits;
 
-/// Result of one Miller step: the line value and the updated point.
-struct Step {
-    line: Fq2,
-    point: G1,
+/// A Miller-loop line, stored as the coefficients of its value at the
+/// distorted partner point: `l(φQ) = (a·x_Q + b) + (c·y_Q)·i`. Walking
+/// the Miller point once yields the lines; each partner then pays two
+/// `F_q` multiplications per line.
+#[derive(Clone, Copy)]
+struct Line {
+    a: Fq,
+    b: Fq,
+    c: Fq,
 }
 
-/// Doubling step: tangent line at `t` evaluated at `φ(Q) = (-x_q, i·y_q)`.
-fn double_step(t: &G1, xq: &Fq, yq: &Fq) -> Step {
-    if t.is_identity() {
-        return Step {
-            line: Fq2::one(),
-            point: *t,
-        };
+impl Line {
+    fn eval(&self, xq: &Fq, yq: &Fq) -> Fq2 {
+        Fq2::new(self.a.mul(xq).add(&self.b), self.c.mul(yq))
     }
-    let (x, y, z) = (t.x, t.y, t.z);
-    let y2 = y.square();
-    let z2 = z.square();
-    let m = x.square().mul(&Fq::from_u64(3)).add(&z2.square()); // 3X² + Z⁴ (a = 1)
-    let s = x.mul(&y2).double().double(); // 4XY²
-    let x3 = m.square().sub(&s.double());
-    let y3 = m
-        .mul(&s.sub(&x3))
-        .sub(&y2.square().double().double().double());
-    let z3 = y.mul(&z).double();
+}
+
+/// Doubling step: replaces `t` by `2t` and returns the tangent line at
+/// `t`, or `None` when its value lies in `F_q` (eliminated by the final
+/// exponentiation).
+fn double_step(t: &mut G1) -> Option<Line> {
+    if t.is_identity() {
+        return None;
+    }
+    let x = t.x;
+    let (doubled, [m, y2, z2]) = t.double_with_slope();
+    *t = doubled;
     // l(φQ) = Z₃·Z²·(i·y_q) - 2Y² - M·(Z²·(-x_q) - X)
-    //       = [M·(Z²·x_q + X) - 2Y²] + [Z₃·Z²·y_q]·i
-    let c0 = m.mul(&z2.mul(xq).add(&x)).sub(&y2.double());
-    let c1 = z3.mul(&z2).mul(yq);
-    Step {
-        line: Fq2::new(c0, c1),
-        point: G1 {
-            x: x3,
-            y: y3,
-            z: z3,
-        },
-    }
+    //       = [(M·Z²)·x_q + (M·X - 2Y²)] + [(Z₃·Z²)·y_q]·i
+    Some(Line {
+        a: m.mul(&z2),
+        b: m.mul(&x).sub(&y2.double()),
+        c: t.z.mul(&z2),
+    })
 }
 
-/// Addition step: chord through `t` and the affine base point `p`,
-/// evaluated at `φ(Q)`.
-fn add_step(t: &G1, p: &G1Affine, xq: &Fq, yq: &Fq) -> Step {
+/// Addition step: replaces `t` by `t + p` and returns the chord through
+/// `t` and the affine base point `p` (`None` when eliminated).
+fn add_step(t: &mut G1, p: &G1Affine) -> Option<Line> {
     if t.is_identity() {
-        return Step {
-            line: Fq2::one(),
-            point: G1::from(*p),
-        };
+        *t = G1::from(*p);
+        return None;
     }
     let (x, y, z) = (t.x, t.y, t.z);
     let z2 = z.square();
@@ -83,13 +87,11 @@ fn add_step(t: &G1, p: &G1Affine, xq: &Fq, yq: &Fq) -> Step {
     if h.is_zero() {
         if r.is_zero() {
             // t == p: tangent case (cannot occur in our loop, but correct).
-            return double_step(t, xq, yq);
+            return double_step(t);
         }
         // t == -p: vertical line, value in F_q ⇒ eliminated.
-        return Step {
-            line: Fq2::one(),
-            point: G1::identity(),
-        };
+        *t = G1::identity();
+        return None;
     }
     let h2 = h.square();
     let h3 = h2.mul(&h);
@@ -97,28 +99,266 @@ fn add_step(t: &G1, p: &G1Affine, xq: &Fq, yq: &Fq) -> Step {
     let x3 = r.square().sub(&h3).sub(&xh2.double());
     let y3 = r.mul(&xh2.sub(&x3)).sub(&y.mul(&h3));
     let z3 = z.mul(&h);
+    *t = G1 {
+        x: x3,
+        y: y3,
+        z: z3,
+    };
     // l(φQ) = Z₃·(i·y_q - y_p) - R·(-x_q - x_p)
-    //       = [R·(x_q + x_p) - Z₃·y_p] + [Z₃·y_q]·i
-    let c0 = r.mul(&xq.add(&p.x())).sub(&z3.mul(&p.y()));
-    let c1 = z3.mul(yq);
-    Step {
-        line: Fq2::new(c0, c1),
-        point: G1 {
-            x: x3,
-            y: y3,
-            z: z3,
-        },
+    //       = [R·x_q + (R·x_p - Z₃·y_p)] + [Z₃·y_q]·i
+    Some(Line {
+        a: r,
+        b: r.mul(&p.x()).sub(&z3.mul(&p.y())),
+        c: z3,
+    })
+}
+
+/// Raises a Miller-loop value to `(q² - 1)/r`, landing in the order-`r`
+/// subgroup of `F_{q²}*`.
+fn final_exponentiation(f: &Fq2) -> Fq2 {
+    // Easy part: f^(q-1) = conj(f) / f, a unitary element.
+    let inv = f.invert().expect("Miller loop output is nonzero");
+    let easy = f.conjugate().mul(&inv);
+    // Hard part: (q + 1)/r = h, by unitary squarings and signed digits.
+    signed_multi_pow(&[(easy, params::h_wnaf())], Fq2::unitary_square)
+}
+
+/// An exponent `k ∈ F_r` as signed digits. When `r - k` is shorter than
+/// `k`, the digits are those of `r - k` and apply to the conjugate of the
+/// base (its inverse, up to the final exponentiation).
+struct Exponent {
+    conj: bool,
+    digits: Vec<i8>,
+}
+
+impl Exponent {
+    fn of(k: &Fr) -> Self {
+        let (pos, neg) = (k.to_uint(), k.neg().to_uint());
+        let conj = neg.bits() < pos.bits();
+        let limbs = if conj { neg.limbs } else { pos.limbs };
+        Exponent {
+            conj,
+            digits: wnaf_digits(&limbs, 4),
+        }
+    }
+
+    fn one() -> Self {
+        Exponent {
+            conj: false,
+            digits: vec![1],
+        }
+    }
+
+    /// The `(base, digits)` term of a [`signed_multi_pow`] ladder.
+    fn term(&self, base: &Fq2) -> (Fq2, &[i8]) {
+        let base = if self.conj { base.conjugate() } else { *base };
+        (base, &self.digits)
     }
 }
 
-/// Raises the Miller-loop output to `(q² - 1)/r`, landing in the order-`r`
-/// subgroup of `F_{q²}*`.
-fn final_exponentiation(f: &Fq2) -> Fq2 {
-    // Easy part: f^(q-1) = conj(f) / f.
-    let inv = f.invert().expect("Miller loop output is nonzero");
-    let easy = f.conjugate().mul(&inv);
-    // Hard part: (q + 1)/r = h.
-    easy.pow_vartime(&params::H.limbs)
+/// One group of a [`PairingProduct`]: `(factor · Π e(P, Q))^exp`.
+struct Group {
+    pairs: Vec<(G1Affine, G1Affine)>,
+    factor: Option<Gt>,
+    exp: Option<Fr>,
+}
+
+/// A distinct Miller point, walked once, and the partners its lines are
+/// evaluated at: `(x_Q, y_Q, group)`.
+struct Walk {
+    base: G1Affine,
+    t: G1,
+    partners: Vec<(Fq, Fq, usize)>,
+}
+
+/// The pairing-product engine: computes
+/// `Π_g (f_g · Π_{(P,Q) ∈ g} e(P, Q))^{e_g}` with one final
+/// exponentiation.
+///
+/// * Each distinct Miller point is walked once; its line coefficients
+///   are evaluated at every partner point. Because `e(P, Q) = e(Q, P)`
+///   on `G`, a pair whose second argument repeats across the product
+///   walks that argument instead.
+/// * Each group keeps its own Miller accumulator. The group exponents
+///   are applied to the accumulators in one shared ladder of squarings
+///   before the single final exponentiation (a homomorphism, so
+///   `FE(Π m_g^{e_g}) = Π FE(m_g)^{e_g}`).
+/// * The optional `G_T` factors `f_g` are raised in a second, unitary
+///   ladder and multiplied in afterwards.
+///
+/// Op accounting follows the paper's nominal counts: one
+/// [`Pairing`](mabe_telemetry::CryptoOp::Pairing) per pair (identity
+/// arguments included) and one
+/// [`GtPow`](mabe_telemetry::CryptoOp::GtPow) per group with an
+/// explicit exponent.
+///
+/// ```
+/// use mabe_math::curve::{G1Affine, G1};
+/// use mabe_math::field::Fr;
+/// use mabe_math::pairing::{pairing, PairingProduct};
+///
+/// let g = G1Affine::generator();
+/// let h = G1Affine::from(G1::generator().mul(&Fr::from_u64(5)));
+/// let mut product = PairingProduct::new();
+/// product.pair(&g, &h); // group 0, exponent 1
+/// product.group(Fr::from_u64(3)).pair(&g, &g);
+/// let expect = pairing(&g, &h).mul(&pairing(&g, &g).pow(&Fr::from_u64(3)));
+/// assert_eq!(product.eval(), expect);
+/// ```
+pub struct PairingProduct {
+    groups: Vec<Group>,
+}
+
+impl Default for PairingProduct {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl PairingProduct {
+    /// An empty product with one open group of exponent 1.
+    pub fn new() -> Self {
+        PairingProduct {
+            groups: vec![Group {
+                pairs: Vec::new(),
+                factor: None,
+                exp: None,
+            }],
+        }
+    }
+
+    /// Opens a new group raised to `exp`; later [`Self::pair`] and
+    /// [`Self::factor`] calls join it.
+    pub fn group(&mut self, exp: Fr) -> &mut Self {
+        self.groups.push(Group {
+            pairs: Vec::new(),
+            factor: None,
+            exp: Some(exp),
+        });
+        self
+    }
+
+    /// Multiplies `e(p, q)` into the open group.
+    pub fn pair(&mut self, p: &G1Affine, q: &G1Affine) -> &mut Self {
+        self.open().pairs.push((*p, *q));
+        self
+    }
+
+    /// Multiplies a `G_T` element into the open group (it is raised to
+    /// the group's exponent with the pairings).
+    pub fn factor(&mut self, f: &Gt) -> &mut Self {
+        let open = self.open();
+        open.factor = Some(open.factor.map_or(*f, |g| g.mul(f)));
+        self
+    }
+
+    fn open(&mut self) -> &mut Group {
+        self.groups
+            .last_mut()
+            .expect("a product always has a group")
+    }
+
+    /// Evaluates the product.
+    pub fn eval(&self) -> Gt {
+        for group in &self.groups {
+            for _ in &group.pairs {
+                mabe_telemetry::record(mabe_telemetry::CryptoOp::Pairing);
+            }
+            if group.exp.is_some() {
+                mabe_telemetry::record(mabe_telemetry::CryptoOp::GtPow);
+            }
+        }
+        let exps: Vec<Exponent> = self
+            .groups
+            .iter()
+            .map(|g| g.exp.as_ref().map_or_else(Exponent::one, Exponent::of))
+            .collect();
+        let mut result = self.miller_part(&exps);
+        let factors: Vec<(Fq2, &[i8])> = self
+            .groups
+            .iter()
+            .zip(&exps)
+            .filter_map(|(g, e)| Some(e.term(&g.factor?.0)))
+            .collect();
+        if !factors.is_empty() {
+            result = result.mul(&Gt(signed_multi_pow(&factors, Fq2::unitary_square)));
+        }
+        result
+    }
+
+    /// `FE(Π_g m_g^{e_g})` over the groups' Miller accumulators.
+    fn miller_part(&self, exps: &[Exponent]) -> Gt {
+        let live = self.groups.iter().enumerate().flat_map(|(g, group)| {
+            group
+                .pairs
+                .iter()
+                .filter(|(p, q)| !p.is_identity() && !q.is_identity())
+                .map(move |(p, q)| (g, p, q))
+        });
+        let mut uses: HashMap<G1Affine, usize> = HashMap::new();
+        for (_, p, q) in live.clone() {
+            *uses.entry(*p).or_default() += 1;
+            *uses.entry(*q).or_default() += 1;
+        }
+        // Walk the argument already being walked, else the more used one.
+        let mut walks: Vec<Walk> = Vec::new();
+        let mut walk_of: HashMap<G1Affine, usize> = HashMap::new();
+        for (g, p, q) in live {
+            let (base, partner) = if walk_of.contains_key(p) {
+                (p, q)
+            } else if walk_of.contains_key(q) || uses[q] > uses[p] {
+                (q, p)
+            } else {
+                (p, q)
+            };
+            let w = *walk_of.entry(*base).or_insert_with(|| {
+                walks.push(Walk {
+                    base: *base,
+                    t: G1::from(*base),
+                    partners: Vec::new(),
+                });
+                walks.len() - 1
+            });
+            walks[w].partners.push((partner.x(), partner.y(), g));
+        }
+        if walks.is_empty() {
+            return Gt::one();
+        }
+
+        // Accumulators of groups without live pairs stay 1 and are skipped.
+        let mut active = vec![false; self.groups.len()];
+        for walk in &walks {
+            for (_, _, g) in &walk.partners {
+                active[*g] = true;
+            }
+        }
+        let mut acc = vec![Fq2::one(); self.groups.len()];
+        // r = 2^159 + 2^107 + 1; iterate bits 158..=0 below the leading 1.
+        for i in (0..(params::R_BITS - 1)).rev() {
+            for (f, _) in acc.iter_mut().zip(&active).filter(|(_, a)| **a) {
+                *f = f.square();
+            }
+            for walk in walks.iter_mut() {
+                let mut lines = [double_step(&mut walk.t), None];
+                if params::R.bit(i) {
+                    lines[1] = add_step(&mut walk.t, &walk.base);
+                }
+                for line in lines.iter().flatten() {
+                    for (xq, yq, g) in &walk.partners {
+                        acc[*g] = acc[*g].mul(&line.eval(xq, yq));
+                    }
+                }
+            }
+        }
+        let terms: Vec<(Fq2, &[i8])> = acc
+            .iter()
+            .zip(exps)
+            .zip(&active)
+            .filter(|(_, a)| **a)
+            .map(|((f, e), _)| e.term(f))
+            .collect();
+        Gt(final_exponentiation(&signed_multi_pow(&terms, Fq2::square)))
+    }
 }
 
 /// The symmetric pairing `e(P, Q)`.
@@ -126,67 +366,19 @@ fn final_exponentiation(f: &Fq2) -> Fq2 {
 /// Returns the identity of `G_T` if either argument is the identity of
 /// `G` (consistent with bilinearity).
 pub fn pairing(p: &G1Affine, q: &G1Affine) -> Gt {
-    // Counted before the identity shortcut: op accounting tracks the
-    // paper's nominal operation counts, not the shortcuts taken.
-    mabe_telemetry::record(mabe_telemetry::CryptoOp::Pairing);
-    if p.is_identity() || q.is_identity() {
-        return Gt::one();
-    }
-    let xq = q.x(); // φ(Q).x = -x_q; the formulas fold the sign in.
-    let yq = q.y();
-    let mut f = Fq2::one();
-    let mut t = G1::from(*p);
-    // r = 2^159 + 2^107 + 1; iterate bits 158..=0 below the leading 1.
-    for i in (0..(params::R_BITS - 1)).rev() {
-        f = f.square();
-        let step = double_step(&t, &xq, &yq);
-        f = f.mul(&step.line);
-        t = step.point;
-        if params::R.bit(i) {
-            let step = add_step(&t, p, &xq, &yq);
-            f = f.mul(&step.line);
-            t = step.point;
-        }
-    }
-    Gt(final_exponentiation(&f))
+    multi_pairing(&[(*p, *q)])
 }
 
-/// Computes `Π e(P_i, Q_i)` with one shared final exponentiation.
-///
-/// The Miller loops of all pairs run in lockstep — their line values
-/// multiply into one accumulator, and the expensive `(q²-1)/r`
-/// exponentiation happens once instead of once per pair. This is the
-/// standard "product of pairings" optimization; the scheme's decryption
-/// (a product of `n_A + 2·|I|` pairings) is its natural consumer.
+/// Computes `Π e(P_i, Q_i)` with one shared final exponentiation: a
+/// one-group [`PairingProduct`].
 ///
 /// Identity arguments contribute a factor of 1, like [`pairing`].
 pub fn multi_pairing(pairs: &[(G1Affine, G1Affine)]) -> Gt {
-    for _ in pairs {
-        mabe_telemetry::record(mabe_telemetry::CryptoOp::Pairing);
+    let mut product = PairingProduct::new();
+    for (p, q) in pairs {
+        product.pair(p, q);
     }
-    let mut state: Vec<(G1, G1Affine, Fq, Fq)> = pairs
-        .iter()
-        .filter(|(p, q)| !p.is_identity() && !q.is_identity())
-        .map(|(p, q)| (G1::from(*p), *p, q.x(), q.y()))
-        .collect();
-    if state.is_empty() {
-        return Gt::one();
-    }
-    let mut f = Fq2::one();
-    for i in (0..(params::R_BITS - 1)).rev() {
-        f = f.square();
-        for (t, p, xq, yq) in state.iter_mut() {
-            let step = double_step(t, xq, yq);
-            f = f.mul(&step.line);
-            *t = step.point;
-            if params::R.bit(i) {
-                let step = add_step(t, p, xq, yq);
-                f = f.mul(&step.line);
-                *t = step.point;
-            }
-        }
-    }
-    Gt(final_exponentiation(&f))
+    product.eval()
 }
 
 /// An element of the target group `G_T` (the order-`r` subgroup of
@@ -219,10 +411,11 @@ impl Gt {
         Gt(self.0.mul(&rhs.0))
     }
 
-    /// Exponentiation by a scalar.
+    /// Exponentiation by a scalar (unitary squarings, signed digits).
     pub fn pow(&self, k: &Fr) -> Self {
         mabe_telemetry::record(mabe_telemetry::CryptoOp::GtPow);
-        Gt(self.0.pow_vartime(&k.to_uint().limbs))
+        let exp = Exponent::of(k);
+        Gt(signed_multi_pow(&[exp.term(&self.0)], Fq2::unitary_square))
     }
 
     /// Inverse (conjugation — valid because `G_T` elements are unitary).
@@ -248,11 +441,7 @@ impl Gt {
     /// Parses and validates the canonical encoding (subgroup-checked).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let inner = Fq2::from_bytes(bytes)?;
-        if inner.is_zero() {
-            return None;
-        }
-        // Order check: must lie in the order-r subgroup.
-        if inner.pow_vartime(&params::R.limbs) != Fq2::one() {
+        if !in_subgroup(&inner) {
             return None;
         }
         Some(Gt(inner))
@@ -283,19 +472,26 @@ impl Gt {
         if flag != 0x02 && flag != 0x03 {
             return None;
         }
-        let c0 = crate::field::Fq::from_canonical_bytes(&bytes[1..])?;
+        let c0 = Fq::from_canonical_bytes(&bytes[1..])?;
         // c1² = 1 - c0²
-        let c1_sq = crate::field::Fq::one().sub(&c0.square());
+        let c1_sq = Fq::one().sub(&c0.square());
         let mut c1 = c1_sq.sqrt()?;
         if c1.is_odd() != (flag & 1 == 1) {
             c1 = c1.neg();
         }
         let inner = Fq2::new(c0, c1);
-        if inner.pow_vartime(&params::R.limbs) != Fq2::one() {
+        if !in_subgroup(&inner) {
             return None;
         }
         Some(Gt(inner))
     }
+}
+
+/// Membership in the order-`r` subgroup of `F_{q²}*`: unitary (norm 1,
+/// which also rules out zero), then order dividing `r`, checked with
+/// unitary squarings.
+fn in_subgroup(x: &Fq2) -> bool {
+    x.norm() == Fq::one() && x.unitary_pow_vartime(&params::R.limbs) == Fq2::one()
 }
 
 impl core::ops::Mul for Gt {

@@ -7,7 +7,9 @@
 //! * `G` is the order-`r` subgroup (`r = 2¹⁵⁹ + 2¹⁰⁷ + 1`, a 160-bit prime).
 //! * Embedding degree 2: the Tate pairing lands in `μ_r ⊂ F_{q²}*`.
 
-use crate::uint::Uint;
+use std::sync::OnceLock;
+
+use crate::uint::{wnaf_digits, Uint};
 
 /// Decimal expansion of the base-field prime `q` (512 bits).
 pub const Q_DEC: &str = "8780710799663312522437781984754049815806883199414208211028653399266475630880222957078625179422662221423155858769582317459277713367317481324925129998224791";
@@ -29,6 +31,13 @@ pub const H: Uint<6> = Uint::from_decimal(H_DEC);
 
 /// Bit length of `r` — drives the Miller loop length.
 pub const R_BITS: usize = 160;
+
+/// Width-4 signed digits of the cofactor `h`, shared by cofactor
+/// clearing in hash-to-curve and the final exponentiation's hard part.
+pub(crate) fn h_wnaf() -> &'static [i8] {
+    static DIGITS: OnceLock<Vec<i8>> = OnceLock::new();
+    DIGITS.get_or_init(|| wnaf_digits(&H.limbs, 4))
+}
 
 #[cfg(test)]
 mod tests {

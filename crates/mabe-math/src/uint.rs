@@ -187,6 +187,29 @@ impl<const L: usize> Uint<L> {
         }
     }
 
+    /// Modular subtraction for values `< modulus`.
+    pub const fn mod_sub(self, rhs: Self, modulus: &Self) -> Self {
+        let (diff, borrow) = self.sbb(rhs);
+        if borrow == 1 {
+            diff.adc(*modulus).0
+        } else {
+            diff
+        }
+    }
+
+    /// Modular halving: `self / 2 mod modulus` for `self < modulus`,
+    /// `modulus` odd.
+    pub fn mod_half(&self, modulus: &Self) -> Self {
+        if !self.is_odd() {
+            return self.shr1();
+        }
+        // self + modulus is even; its carry becomes the top bit.
+        let (sum, carry) = self.adc(*modulus);
+        let mut out = sum.shr1();
+        out.limbs[L - 1] |= carry << 63;
+        out
+    }
+
     /// Returns bit `i` (0 = least significant).
     #[inline]
     pub fn bit(&self, i: usize) -> bool {
@@ -299,6 +322,50 @@ impl<const L: usize> core::fmt::Display for Uint<L> {
     }
 }
 
+/// Width-`w` signed windowed NAF digits of a little-endian limb slice,
+/// least-significant first: each digit is odd with `|d| < 2^(w-1)` or
+/// zero, and any two nonzero digits are at least `w` positions apart.
+/// Width 2 is the plain NAF (digits in `{0, ±1}`).
+pub fn wnaf_digits(limbs: &[u64], width: u32) -> Vec<i8> {
+    debug_assert!((2..=7).contains(&width), "digits must fit an i8");
+    let window = 1u64 << width;
+    // One spare limb absorbs the carry of a negative digit at the top.
+    let mut x = limbs.to_vec();
+    x.push(0);
+    let mut digits = Vec::with_capacity(64 * limbs.len() + 1);
+    while x.iter().any(|&l| l != 0) {
+        let mut d = 0i64;
+        if x[0] & 1 == 1 {
+            let low = x[0] & (window - 1);
+            d = if low >= window / 2 {
+                low as i64 - window as i64
+            } else {
+                low as i64
+            };
+            // x -= d clears the low `width` bits.
+            if d >= 0 {
+                x[0] -= d as u64;
+            } else {
+                let mut carry = (-d) as u64;
+                for limb in x.iter_mut() {
+                    let (sum, c) = adc(*limb, carry, 0);
+                    *limb = sum;
+                    carry = c;
+                    if carry == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        digits.push(d as i8);
+        for i in 0..x.len() {
+            let hi = x.get(i + 1).map_or(0, |h| h << 63);
+            x[i] = (x[i] >> 1) | hi;
+        }
+    }
+    digits
+}
+
 /// Schoolbook multiplication of two limb slices into `out`.
 ///
 /// `out` must have length `>= a.len() + b.len()` and is fully overwritten.
@@ -400,6 +467,52 @@ mod tests {
         let b: Uint<1> = Uint::from_u64(20);
         assert_eq!(a.mod_add(b, &m).limbs[0], 13);
         assert_eq!(b.mod_add(b, &m).limbs[0], 40);
+    }
+
+    #[test]
+    fn mod_sub_and_half_behaviour() {
+        let m: Uint<1> = Uint::from_u64(97);
+        let a: Uint<1> = Uint::from_u64(90);
+        let b: Uint<1> = Uint::from_u64(20);
+        assert_eq!(b.mod_sub(a, &m).limbs[0], 27);
+        assert_eq!(a.mod_sub(b, &m).limbs[0], 70);
+        assert_eq!(b.mod_half(&m).limbs[0], 10);
+        // 7 / 2 = (7 + 97) / 2 = 52, and 2·52 = 104 ≡ 7.
+        assert_eq!(Uint::<1>::from_u64(7).mod_half(&m).limbs[0], 52);
+        // A full-width odd modulus: the carry of x + m lands in the top bit.
+        let big: Uint<1> = Uint::from_u64(u64::MAX - 58); // odd
+        let x: Uint<1> = Uint::from_u64(u64::MAX - 60); // odd, < big
+        let half = x.mod_half(&big);
+        assert_eq!(half.mod_add(half, &big), x);
+    }
+
+    #[test]
+    fn wnaf_digits_recombine() {
+        for (value, width) in [
+            (0b10111u64, 4),
+            (u64::MAX, 2),
+            (u64::MAX, 4),
+            (1, 4),
+            (0, 4),
+        ] {
+            let digits = wnaf_digits(&[value, 0], width);
+            let sum: i128 = digits
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| (d as i128) << i)
+                .sum();
+            assert_eq!(sum, value as i128, "value {value:#x}, width {width}");
+            for (i, &d) in digits.iter().enumerate() {
+                if d != 0 {
+                    assert!(d % 2 != 0 && (d.unsigned_abs() as u64) < (1 << (width - 1)));
+                    let next = &digits[i + 1..digits.len().min(i + width as usize)];
+                    assert!(next.iter().all(|&n| n == 0), "digits too close");
+                }
+            }
+        }
+        // A top-limb value whose last digit is negative needs the spare limb.
+        let digits = wnaf_digits(&[u64::MAX], 4);
+        assert_eq!(digits.len(), 65);
     }
 
     #[test]
